@@ -44,6 +44,7 @@ use crate::reliable::{
     content_key, is_replay, pack_seq, unpack_seq, ContentLog, LinkTx, PendingAcks, SeqWindow,
     Unacked, REPLAY_BIT,
 };
+use crate::term::{TermDetector, TermObs, TermStall, TermStep};
 
 /// Logical process rank within the fabric.
 pub type Rank = usize;
@@ -390,9 +391,8 @@ pub struct FabricStats {
     am_dedup_hits: Counter,
     /// Logical packets abandoned after the retry budget ran out.
     am_retry_exhausted: Counter,
-    /// Acknowledgement flush events: one per batched-ack range set sent
-    /// (or, under immediate acks, one per per-message ack), so
-    /// acks-per-message = `ack_flushes / am_count`.
+    /// Acknowledgement flush events, one per batched-ack range set sent,
+    /// so acks-per-message = `ack_flushes / am_count`.
     ack_flushes: Counter,
     /// Sequence numbers acknowledged through batched range flushes.
     acks_batched: Counter,
@@ -481,8 +481,8 @@ pub struct StatsSnapshot {
     pub am_dedup_hits: u64,
     /// Logical packets abandoned (retry budget exhausted).
     pub am_retry_exhausted: u64,
-    /// Ack flush events (batched range sets, or per-message immediate
-    /// acks): acks-per-message = `ack_flushes / am_count`.
+    /// Ack flush events, one per batched range set:
+    /// acks-per-message = `ack_flushes / am_count`.
     pub ack_flushes: u64,
     /// Sequence numbers acknowledged via batched ranges.
     pub acks_batched: u64,
@@ -680,7 +680,6 @@ struct ChaosState {
     windows: Vec<Mutex<Vec<SeqWindow>>>,
     /// Receive-side batched-ack accumulators, indexed like `links` (entry
     /// `link_idx(from, to)` holds the acks rank `to` owes rank `from`).
-    /// Unused (always empty) when `plan.immediate_acks` is set.
     pending_acks: Vec<Mutex<PendingAcks>>,
     /// Packets held by delay/reorder injection.
     delayq: Mutex<Vec<Delayed>>,
@@ -754,28 +753,6 @@ enum LinkLayer {
     Remote(Box<RemoteState>),
 }
 
-/// One rank's (sent, received, quiescence) observation, exchanged by the
-/// distributed termination protocol.
-#[derive(Clone, PartialEq, Eq)]
-struct TermObs {
-    sent: u64,
-    recvd: u64,
-    epoch: u64,
-    idle: bool,
-}
-
-/// Coordinator-side state of the counter-based termination detector:
-/// rank 0 probes all ranks each round and declares termination after two
-/// consecutive rounds with identical all-idle observations whose global
-/// sent and received counts balance.
-#[derive(Default)]
-struct TermDriver {
-    round: u64,
-    probed: bool,
-    replies: HashMap<Rank, TermObs>,
-    prev: Option<Vec<TermObs>>,
-}
-
 /// Callback reporting whether this process is locally idle and its
 /// activity epoch (installed by the executor; see
 /// [`Fabric::install_idle_probe`]).
@@ -804,7 +781,8 @@ struct RemoteState {
     barrier_cv: Condvar,
     /// Coordinator only: entry counts per in-progress epoch.
     barrier_entered: Mutex<HashMap<u64, usize>>,
-    term: Mutex<TermDriver>,
+    /// Coordinator only: the distributed termination detector.
+    term: Mutex<TermDetector>,
     /// Scripted self-abort: kill this process after receiving this many
     /// AM frames (remote `kill=r@n` fault plans; the launcher's watchdog
     /// recovers the job).
@@ -816,6 +794,7 @@ struct RemoteState {
 impl RemoteState {
     fn new(endpoint: Arc<dyn Endpoint>, kill_after: Option<u64>) -> RemoteState {
         let me = endpoint.rank();
+        let n = endpoint.n_ranks();
         RemoteState {
             endpoint,
             me,
@@ -829,7 +808,7 @@ impl RemoteState {
             barrier_released: Mutex::new(0),
             barrier_cv: Condvar::new(),
             barrier_entered: Mutex::new(HashMap::new()),
-            term: Mutex::new(TermDriver::default()),
+            term: Mutex::new(TermDetector::new(n)),
             kill_after,
             rx_frames: AtomicU64::new(0),
         }
@@ -1255,12 +1234,14 @@ impl Fabric {
                     seq
                 };
                 if cs.recover.is_some() {
-                    cs.replay_log[self.link_idx(from, to)].lock().push(ReplayEntry {
-                        seq,
-                        inc: cs.incarnations[self.link_row(from)].load(Ordering::SeqCst),
-                        handler,
-                        payload: Arc::clone(&payload),
-                    });
+                    cs.replay_log[self.link_idx(from, to)]
+                        .lock()
+                        .push(ReplayEntry {
+                            seq,
+                            inc: cs.incarnations[self.link_row(from)].load(Ordering::SeqCst),
+                            handler,
+                            payload: Arc::clone(&payload),
+                        });
                 }
                 // Piggyback: flush any acks `from` owes `to` first, so on
                 // a socket mesh the AckRange frame lands in the same
@@ -1448,10 +1429,7 @@ impl Fabric {
                         // Scripted death of a real OS process: the
                         // launcher's watchdog reaps this child and
                         // recovers the job (DESIGN §13).
-                        eprintln!(
-                            "rank {}: scripted kill after {got} received frames",
-                            rs.me
-                        );
+                        eprintln!("rank {}: scripted kill after {got} received frames", rs.me);
                         std::process::abort();
                     }
                 }
@@ -1527,18 +1505,13 @@ impl Fabric {
                 epoch,
                 idle,
             } => {
-                let mut term = rs.term.lock();
-                if round == term.round {
-                    term.replies.insert(
-                        from as usize,
-                        TermObs {
-                            sent,
-                            recvd,
-                            epoch,
-                            idle,
-                        },
-                    );
-                }
+                let obs = TermObs {
+                    sent,
+                    recvd,
+                    epoch,
+                    idle,
+                };
+                rs.term.lock().reply(from as usize, round, obs);
             }
             Frame::TermDone => {
                 rs.done.store(true, Ordering::SeqCst);
@@ -1578,16 +1551,6 @@ impl Fabric {
         }
     }
 
-    /// Multi-process only: has the coordinator declared global
-    /// termination? Always `true` on in-process fabrics, where local
-    /// quiescence is global quiescence.
-    pub fn remote_done(&self) -> bool {
-        match &self.wire {
-            LinkLayer::Remote(rs) => rs.done.load(Ordering::SeqCst),
-            _ => true,
-        }
-    }
-
     /// `Some(rank)` when this fabric is one rank of a multi-process job;
     /// `None` when all ranks live in this process.
     pub fn local_rank(&self) -> Option<Rank> {
@@ -1610,56 +1573,46 @@ impl Fabric {
         }
     }
 
-    /// One step of the distributed termination detector, driven by rank
-    /// 0's wait loop (no-op elsewhere). Each round probes every rank for
-    /// `(sent, recvd, epoch, idle)`; two consecutive rounds of identical
-    /// all-idle observations with globally balanced send/receive counts
-    /// prove no message is in flight anywhere, and `TermDone` is
-    /// broadcast.
-    pub fn drive_termination(&self) {
+    /// Multi-process wait loops call this until it returns `true`: has
+    /// global termination been declared? On rank 0 each call is also one
+    /// step of the distributed detector ([`crate::term`]): probes go out to
+    /// every rank, and on a verdict `TermDone` is broadcast. Always `true`
+    /// on in-process fabrics, where local quiescence is global quiescence.
+    pub fn drive_termination(&self) -> bool {
         let LinkLayer::Remote(rs) = &self.wire else {
-            return;
+            return true;
         };
-        if rs.me != 0 || rs.done.load(Ordering::SeqCst) {
-            return;
+        let done = rs.done.load(Ordering::SeqCst);
+        if rs.me != 0 || done {
+            return done;
         }
         let mut term = rs.term.lock();
-        if !term.probed {
-            term.probed = true;
-            let round = term.round;
-            drop(term);
-            for r in 1..self.n {
-                if let Err(e) = rs.endpoint.link(r).send(Frame::TermProbe { round }) {
-                    self.transport_send_failed(0, r, None, e);
-                }
+        let step = term.poll(self.observe_local(rs));
+        drop(term);
+        let frame = match step {
+            TermStep::Probe(round) => Frame::TermProbe { round },
+            TermStep::Wait => return false,
+            TermStep::Done => {
+                // Set before the broadcast: peers that hear `TermDone` close
+                // their links, and that must not read as a failure here.
+                rs.done.store(true, Ordering::SeqCst);
+                Frame::TermDone
             }
-            return;
-        }
-        // Refresh our own observation every poll so the coordinator's
-        // idleness is current when the last remote reply lands.
-        let own = self.observe_local(rs);
-        term.replies.insert(0, own);
-        if term.replies.len() < self.n {
-            return;
-        }
-        let cur: Vec<TermObs> = (0..self.n).map(|r| term.replies[&r].clone()).collect();
-        let all_idle = cur.iter().all(|o| o.idle);
-        let sent: u64 = cur.iter().map(|o| o.sent).sum();
-        let recvd: u64 = cur.iter().map(|o| o.recvd).sum();
-        let stable = term.prev.as_deref() == Some(&cur[..]);
-        if all_idle && sent == recvd && stable {
-            drop(term);
-            rs.done.store(true, Ordering::SeqCst);
-            for r in 1..self.n {
-                if let Err(e) = rs.endpoint.link(r).send(Frame::TermDone) {
-                    self.transport_send_failed(0, r, None, e);
-                }
+        };
+        for r in 1..self.n {
+            if let Err(e) = rs.endpoint.link(r).send(frame.clone()) {
+                self.transport_send_failed(0, r, None, e);
             }
-        } else {
-            term.prev = Some(cur);
-            term.replies.clear();
-            term.round += 1;
-            term.probed = false;
+        }
+        step == TermStep::Done
+    }
+
+    /// Multi-process rank 0 only: why the termination detector has not
+    /// reached a verdict yet (`None` on other ranks and in-process).
+    pub fn term_stall(&self) -> Option<TermStall> {
+        match &self.wire {
+            LinkLayer::Remote(rs) if rs.me == 0 => Some(rs.term.lock().stall()),
+            _ => None,
         }
     }
 
@@ -1846,7 +1799,9 @@ impl Fabric {
         let (inc, raw) = unpack_seq(seq);
         let received = cs.rx_packets[to].fetch_add(1, Ordering::SeqCst) + 1;
         for (ki, k) in cs.plan.kills.iter().enumerate() {
-            if k.rank == to && received >= k.after_packets && !cs.kill_fired[ki].load(Ordering::SeqCst)
+            if k.rank == to
+                && received >= k.after_packets
+                && !cs.kill_fired[ki].load(Ordering::SeqCst)
             {
                 // Latch: a restored rank's replayed packet counter must
                 // not re-trigger the same scripted death.
@@ -1936,14 +1891,13 @@ impl Fabric {
         }
         let seq = raw;
         // Acknowledge on every receipt (duplicates re-ack, covering a
-        // previously lost ack). The receiver's acceptance itself is always
-        // recorded on the sender entry via `delivered`; only the ack
-        // traffic is lossy.
+        // previously lost ack): record acceptance on the sender entry via
+        // `delivered`, then park the sequence in the per-link range
+        // accumulator. The ack itself travels later — piggybacked on the
+        // next data frame to the sender or pushed out by the flush timer —
+        // and only that ack traffic is lossy.
         let link = self.link_idx(from, to);
-        if cs.plan.immediate_acks {
-            // Legacy one-ack-per-message mode: the ack "packet" is rolled
-            // and applied right here. Each receipt is one flush event so
-            // acks-per-message reads ~1.0 on this path.
+        {
             let mut tx = cs.links[link].lock();
             if let Some(e) = tx.unacked.get_mut(&seq) {
                 if deliver && !replay && e.replayed {
@@ -1956,31 +1910,9 @@ impl Fabric {
                     self.in_flight.fetch_add(1, Ordering::SeqCst);
                 }
                 e.delivered = true;
-                let ack_lost = cs.plan.drop > 0.0
-                    && cs.plan.roll(salt::ACK, link as u64, seq, e.attempts) < cs.plan.drop;
-                if !ack_lost {
-                    tx.unacked.remove(&seq);
-                }
             }
-            self.stats.ack_flushes.inc();
-        } else {
-            // Batched mode: record acceptance on the sender entry, then
-            // park the sequence in the per-link range accumulator. The
-            // actual ack travels later — piggybacked on the next data
-            // frame to the sender or pushed out by the flush timer.
-            {
-                let mut tx = cs.links[link].lock();
-                if let Some(e) = tx.unacked.get_mut(&seq) {
-                    if deliver && !replay && e.replayed {
-                        // See the immediate-acks branch: original transmit
-                        // of a scan-retired entry — pre-pay its slot.
-                        self.in_flight.fetch_add(1, Ordering::SeqCst);
-                    }
-                    e.delivered = true;
-                }
-            }
-            cs.pending_acks[link].lock().note(seq, Instant::now());
         }
+        cs.pending_acks[link].lock().note(seq, Instant::now());
         deliver
     }
 
@@ -2098,11 +2030,9 @@ impl Fabric {
         // Flush ack accumulators whose oldest entry has aged past the
         // flush deadline — before the retransmit scan, so a due ack beats
         // a spurious retransmission of the packets it covers.
-        if !cs.plan.immediate_acks {
-            for li in 0..cs.pending_acks.len() {
-                if cs.pending_acks[li].lock().due(now, cs.plan.ack_flush) {
-                    self.flush_acks(cs, li, false);
-                }
+        for li in 0..cs.pending_acks.len() {
+            if cs.pending_acks[li].lock().due(now, cs.plan.ack_flush) {
+                self.flush_acks(cs, li, false);
             }
         }
         // Retransmit / abandon overdue unacked packets.
@@ -2145,7 +2075,13 @@ impl Fabric {
                     }
                     e.attempts += 1;
                     e.next_retry = now + cs.plan.retry.backoff(e.attempts + 1);
-                    retransmit.push((seq, e.handler, Arc::clone(&e.payload), e.attempts, e.replayed));
+                    retransmit.push((
+                        seq,
+                        e.handler,
+                        Arc::clone(&e.payload),
+                        e.attempts,
+                        e.replayed,
+                    ));
                 }
                 for seq in give_up {
                     let e = link.unacked.remove(&seq).unwrap();
@@ -2216,9 +2152,7 @@ impl Fabric {
 
     /// Whether the installed fault plan enables checkpoint/restore.
     pub fn recovery_enabled(&self) -> bool {
-        self.chaos
-            .as_ref()
-            .is_some_and(|cs| cs.recover.is_some())
+        self.chaos.as_ref().is_some_and(|cs| cs.recover.is_some())
     }
 
     /// Snapshot cadence of the installed fault plan, in accepted packets
@@ -2245,7 +2179,9 @@ impl Fabric {
     /// snapshot for a new one to be due.
     pub fn snapshot_due(&self, r: Rank) -> bool {
         let Some(cs) = &self.chaos else { return false };
-        let Some(every) = cs.recover else { return false };
+        let Some(every) = cs.recover else {
+            return false;
+        };
         !cs.killed[r].load(Ordering::SeqCst)
             && cs.rx_packets[r].load(Ordering::SeqCst)
                 >= cs.last_snap[r].load(Ordering::SeqCst) + every
@@ -2253,7 +2189,9 @@ impl Fabric {
 
     /// Ranks killed by script that recovery should bring back.
     pub fn ranks_needing_recovery(&self) -> Vec<Rank> {
-        let Some(cs) = &self.chaos else { return Vec::new() };
+        let Some(cs) = &self.chaos else {
+            return Vec::new();
+        };
         if cs.recover.is_none() {
             return Vec::new();
         }
@@ -2508,7 +2446,11 @@ impl Fabric {
             detail: format!(
                 "restored from {} snapshot, replayed {replayed} logged sends, \
                  retired {retired} undelivered pre-crash sends",
-                if section.is_some() { "last" } else { "no (empty)" },
+                if section.is_some() {
+                    "last"
+                } else {
+                    "no (empty)"
+                },
             ),
         });
         Ok(())
@@ -3195,25 +3137,6 @@ mod tests {
         assert_eq!(s.acks_piggybacked, 1);
         assert_eq!(s.acks_batched, 1);
         assert_eq!(s.ack_flushes, 1);
-        assert_eq!(fabric.packets_in_flight(), 0);
-    }
-
-    #[test]
-    fn immediate_ack_mode_flushes_once_per_message() {
-        // The A/B baseline lever: one flush event per received message,
-        // nothing batched, nothing piggybacked.
-        let plan = FaultPlan::seeded(35).with_immediate_acks();
-        let fabric = Fabric::with_faults(2, Some(plan));
-        let rx1 = fabric.take_receiver(1);
-        let n = 10;
-        for _ in 0..n {
-            fabric.send_am(0, 1, 7, vec![9]).unwrap();
-        }
-        while pump(&fabric, &rx1, 1).is_some() {}
-        let s = fabric.stats().snapshot();
-        assert_eq!(s.ack_flushes, n, "one ack per message in immediate mode");
-        assert_eq!(s.acks_batched, 0);
-        assert_eq!(s.acks_piggybacked, 0);
         assert_eq!(fabric.packets_in_flight(), 0);
     }
 

@@ -113,10 +113,6 @@ pub struct FaultPlan {
     pub kills: Vec<KillScript>,
     /// Retransmission policy for the reliable layer.
     pub retry: RetryPolicy,
-    /// Answer every accepted message with its own immediate ack (the
-    /// pre-batching behavior) instead of accumulating ranged acks. Kept as
-    /// an A/B lever for `bench_wire` and regression comparison.
-    pub immediate_acks: bool,
     /// How long a pending batched ack may wait for a piggyback ride
     /// before the progress thread flushes it anyway.
     pub ack_flush: Duration,
@@ -141,7 +137,6 @@ impl FaultPlan {
             delay_us: (200, 800),
             kills: Vec::new(),
             retry: RetryPolicy::default(),
-            immediate_acks: false,
             ack_flush: Duration::from_micros(100),
             recover: None,
         }
@@ -186,14 +181,7 @@ impl FaultPlan {
         self
     }
 
-    /// Revert to one immediate ack per accepted message (disables ack
-    /// batching/piggybacking; the baseline side of `bench_wire`).
-    pub fn with_immediate_acks(mut self) -> Self {
-        self.immediate_acks = true;
-        self
-    }
-
-    /// Set the batched-ack flush timer (ignored under immediate acks).
+    /// Set the batched-ack flush timer.
     pub fn with_ack_flush(mut self, flush: Duration) -> Self {
         self.ack_flush = flush;
         self
@@ -302,15 +290,6 @@ impl FaultPlan {
                             .max(1),
                     )
                 }
-                "acks" => match v {
-                    "immediate" => plan.immediate_acks = true,
-                    "batched" => plan.immediate_acks = false,
-                    other => {
-                        return Err(format!(
-                            "fault spec: acks wants immediate or batched, got `{other}`"
-                        ))
-                    }
-                },
                 other => return Err(format!("fault spec: unknown key `{other}`")),
             }
         }
@@ -401,14 +380,8 @@ mod tests {
         assert!(FaultPlan::parse("banana=1").is_err());
         assert!(FaultPlan::parse("drop").is_err());
         assert!(FaultPlan::parse("kill=3").is_err());
-        assert!(FaultPlan::parse("acks=sometimes").is_err());
-    }
-
-    #[test]
-    fn parse_ack_mode() {
-        assert!(!FaultPlan::parse("seed=1").unwrap().immediate_acks);
-        assert!(FaultPlan::parse("acks=immediate").unwrap().immediate_acks);
-        assert!(!FaultPlan::parse("acks=batched").unwrap().immediate_acks);
+        let e = FaultPlan::parse("acks=immediate").unwrap_err();
+        assert!(e.contains("unknown key `acks`"), "got: {e}");
     }
 
     #[test]

@@ -16,7 +16,9 @@
 //!   deaths, parseable from a `--faults seed=K,drop=p` CLI spec;
 //! * [`reliable`] — the reliable-delivery protocol run under a fault plan:
 //!   per-link sequence numbers, receive-side dedup windows, ack +
-//!   exponential-backoff retransmit with a bounded retry budget.
+//!   exponential-backoff retransmit with a bounded retry budget;
+//! * [`term`] — the counter-based distributed termination detector that
+//!   multi-process runs use.
 //!
 //! The fabric replaces MPI + InfiniBand from the paper's testbeds; see
 //! `DESIGN.md` for the substitution argument and §8 for the fault model.
@@ -29,6 +31,7 @@ pub mod fault;
 pub mod lockdoc;
 pub mod recover;
 pub mod reliable;
+pub mod term;
 pub mod wire;
 
 // The wire-buffer pool moved down into `ttg-transport` so the socket mesh
@@ -45,6 +48,7 @@ pub use fault::{FaultPlan, KillScript, RetryPolicy};
 pub use pool::{pool_stats, PoolStats};
 pub use recover::{FileSnapshotSink, MemorySnapshotSink, SharedSnapshotSink, SnapshotSink};
 pub use reliable::SeqWindow;
+pub use term::TermStall;
 // Link-layer selection re-exported so executors and apps need no direct
 // ttg-transport dependency (DESIGN §9).
 pub use ttg_transport::{RemoteHandle, TransportError, TransportKind, TransportSpec};

@@ -9,8 +9,8 @@
 //! duplicate, a spurious retransmit, a reordered stray — is a *duplicate*
 //! and is dropped before it can double-fire a task. Exactly-once **logical**
 //! delivery therefore holds no matter what the physical layer does, and the
-//! termination detectors (the executor's in-flight counter, Safra's message
-//! balance) count logical messages only.
+//! executor's in-flight counter, its termination input, counts logical
+//! messages only.
 //!
 //! A packet reordered so far that it falls behind the window is treated as
 //! a duplicate; its sender never sees an ack and eventually exhausts the
@@ -23,8 +23,6 @@
 //! receiver accumulates accepted seqs into ranges and flushes them
 //! piggybacked on reverse-direction data or on a short timer, so a burst
 //! of messages is answered by one ranged ack instead of one ack each.
-//! `FaultPlan::with_immediate_acks` restores the legacy
-//! one-ack-per-message behavior for A/B measurement.
 
 use std::collections::HashMap;
 use std::sync::Arc;

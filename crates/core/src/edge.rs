@@ -400,7 +400,15 @@ impl<K: Key, V: Data> ConsumerPort<K, V> for PortImpl<K, V> {
                         Arc::new(ttg_comm::to_bytes(x))
                     }
                 };
-                self.send_inline(&node, src_rank, &local, &value_bytes, from_task, src_rank, ctx);
+                self.send_inline(
+                    &node,
+                    src_rank,
+                    &local,
+                    &value_bytes,
+                    from_task,
+                    src_rank,
+                    ctx,
+                );
             } else {
                 self.deliver_local(&node, src_rank, &local, v, from_task, src_rank, ctx);
             }

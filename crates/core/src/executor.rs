@@ -354,8 +354,7 @@ impl Executor {
                                         // the pool stays busy and the next
                                         // delivery retries.
                                         if due {
-                                            let drain = Instant::now()
-                                                + Duration::from_micros(500);
+                                            let drain = Instant::now() + Duration::from_micros(500);
                                             loop {
                                                 if ctx2.pool(r).is_idle() {
                                                     if take_snapshot(&ctx2, r) {
@@ -432,23 +431,13 @@ impl Executor {
                     return;
                 }
             }
-            if let Some(t) = give_up {
-                if Instant::now() >= t {
-                    self.ctx.fabric.count_deadline_miss();
-                    self.ctx.fabric.record_error(CommError {
-                        kind: CommErrorKind::DeadlineMissed,
-                        from: None,
-                        to: None,
-                        handler: None,
-                        seq: None,
-                        detail: format!(
-                            "no quiescence within {:?} ({} packets in flight)",
-                            self.deadline.unwrap(),
-                            self.ctx.fabric.packets_in_flight()
-                        ),
-                    });
-                    return;
-                }
+            if give_up.is_some_and(|t| Instant::now() >= t) {
+                self.miss_deadline(format!(
+                    "no quiescence within {:?} ({} packets in flight)",
+                    self.deadline.unwrap(),
+                    self.ctx.fabric.packets_in_flight()
+                ));
+                return;
             }
             std::thread::sleep(Duration::from_micros(50));
         }
@@ -469,31 +458,40 @@ impl Executor {
         }
         let give_up = self.deadline.map(|d| Instant::now() + d);
         loop {
-            if self.ctx.fabric.remote_done() {
+            if self.ctx.fabric.drive_termination() {
                 return;
             }
-            self.ctx.fabric.drive_termination();
-            if let Some(t) = give_up {
-                if Instant::now() >= t {
-                    self.ctx.fabric.count_deadline_miss();
-                    self.ctx.fabric.record_error(CommError {
-                        kind: CommErrorKind::DeadlineMissed,
-                        from: None,
-                        to: None,
-                        handler: None,
-                        seq: None,
-                        detail: format!(
-                            "no distributed termination within {:?} \
-                             ({} packets in flight locally)",
-                            self.deadline.unwrap(),
-                            self.ctx.fabric.packets_in_flight()
-                        ),
-                    });
-                    return;
-                }
+            if give_up.is_some_and(|t| Instant::now() >= t) {
+                // Rank 0 runs the detector, so it can say what blocks the
+                // verdict; other ranks only see their own queue.
+                let why = match self.ctx.fabric.term_stall() {
+                    Some(stall) => stall.to_string(),
+                    None => format!(
+                        "{} packets in flight locally",
+                        self.ctx.fabric.packets_in_flight()
+                    ),
+                };
+                self.miss_deadline(format!(
+                    "no distributed termination within {:?}: {why}",
+                    self.deadline.unwrap()
+                ));
+                return;
             }
             std::thread::sleep(Duration::from_micros(200));
         }
+    }
+
+    /// Give up a wait: record a structured `DeadlineMissed` error.
+    fn miss_deadline(&self, detail: String) {
+        self.ctx.fabric.count_deadline_miss();
+        self.ctx.fabric.record_error(CommError {
+            kind: CommErrorKind::DeadlineMissed,
+            from: None,
+            to: None,
+            handler: None,
+            seq: None,
+            detail,
+        });
     }
 
     /// Wait for quiescence, shut everything down, and report.

@@ -10,6 +10,7 @@ pub mod dedup;
 pub mod handshake;
 pub mod matching;
 pub mod recover;
+pub mod term;
 pub mod wake;
 
 use crate::explore::{Config, Stats, Violation};
@@ -69,6 +70,14 @@ pub fn corpus() -> Vec<CorpusEntry> {
             invariant: "transport handshake/reader: no byte of frames riding behind \
                         Hello is lost across the codec handoff",
             run: |cfg| handshake::check(cfg, handshake::Mutation::None),
+            default_bound: 2,
+        },
+        CorpusEntry {
+            name: "term_counter",
+            invariant: "counter-based termination: Done is never declared while a rank \
+                        is active or a message is in flight, and two rounds after \
+                        quiescence always decide",
+            run: |cfg| term::check(cfg, term::Mutation::None),
             default_bound: 2,
         },
     ]

@@ -176,7 +176,8 @@ fn model(mutation: Mutation) {
         "exactly-once broken: message delivered {delivered} times"
     );
     assert_eq!(
-        in_flight, BIAS,
+        in_flight,
+        BIAS,
         "ledger imbalance: in_flight ended {} off its bias",
         in_flight as isize - BIAS as isize
     );

@@ -3,7 +3,7 @@
 //! caught deterministically. The printed per-model schedule counts are the
 //! coverage evidence CI archives.
 
-use ttg_model::protocols::{batch, corpus, dedup, handshake, matching, recover, wake};
+use ttg_model::protocols::{batch, corpus, dedup, handshake, matching, recover, term, wake};
 use ttg_model::{Config, Sample, ViolationKind};
 
 #[test]
@@ -106,6 +106,17 @@ fn recover_scan_retiring_delivered_entries_double_debits() {
         .expect_err("mutation must be caught");
     assert_eq!(v.kind, ViolationKind::Assert, "got: {v}");
     assert!(v.message.contains("ledger imbalance"), "got: {v}");
+}
+
+#[test]
+fn term_single_round_declares_with_a_message_in_flight() {
+    // Replies taken at different instants make one round look balanced
+    // and idle while m3 is still in flight; only the second identical
+    // round rules that out.
+    let v = term::check(Config::bounded(1), term::Mutation::SingleRound)
+        .expect_err("mutation must be caught");
+    assert_eq!(v.kind, ViolationKind::Assert, "got: {v}");
+    assert!(v.message.contains("1 message(s) in flight"), "got: {v}");
 }
 
 #[test]

@@ -3,12 +3,12 @@
 //! A TTG execution terminates when no task is running or queued anywhere and
 //! no message is in flight — messages are the only way new tasks appear, so
 //! this state is stable. The paper relies on the backend runtimes' global
-//! termination detection; we provide two implementations:
-//!
-//! * [`Quiescence`] — an epoch-validated shared-counter detector used by the
-//!   executors (exact and cheap because our ranks share an address space);
-//! * [`safra`](crate::safra) — Safra's classic token-ring algorithm run over
-//!   the fabric, the faithful distributed-memory variant.
+//! termination detection. Here [`Quiescence`], an epoch-validated
+//! shared-counter detector, answers for every rank in one process (exact
+//! and cheap because those ranks share an address space). When ranks live
+//! in separate processes, each process's [`Quiescence`] verdict and epoch
+//! feed the counter-based detector in `ttg_comm::term`, which rank 0 runs
+//! over the wire.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
