@@ -1,10 +1,16 @@
 //! Micro-benchmarks of the sequential tile kernels (the building blocks of
-//! the Cholesky and FW cost models).
+//! the Cholesky and FW cost models) at the tile edges of the benchmark
+//! workloads (32 and 192) and one between. Each line also reports the
+//! kernel's rate in flop/s (`elem/s`); the min-plus product counts one add
+//! and one compare per term.
 
 use std::time::Duration;
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ttg_linalg::{gemm_nt, minplus, potrf_l, syrk_ln, trsm_rlt, Tile, TiledMatrix};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use ttg_linalg::{
+    gemm_flops, gemm_nn, gemm_nt, minplus, potrf_flops, potrf_l, syrk_ln, trsm_rlt, Tile,
+    TiledMatrix,
+};
 
 fn spd_tile(n: usize) -> Tile {
     let m = TiledMatrix::random_spd(1, n, 5);
@@ -19,21 +25,29 @@ fn rand_tile(n: usize, seed: u64) -> Tile {
 
 fn bench_kernels(c: &mut Criterion) {
     let mut group = c.benchmark_group("tile_kernels");
-    for &nb in &[32usize, 64] {
+    for &nb in &[32usize, 64, 192] {
+        let n = nb as u64;
         let a = rand_tile(nb, 1);
         let b = rand_tile(nb, 2);
         let spd = spd_tile(nb);
         let mut l = spd.clone();
         potrf_l(&mut l).unwrap();
 
+        group.throughput(Throughput::Elements(gemm_flops(nb, nb, nb)));
         group.bench_with_input(BenchmarkId::new("gemm_nt", nb), &nb, |bench, _| {
             let mut cc = rand_tile(nb, 3);
             bench.iter(|| gemm_nt(-1.0, &a, &b, &mut cc));
         });
+        group.bench_with_input(BenchmarkId::new("gemm_nn", nb), &nb, |bench, _| {
+            let mut cc = rand_tile(nb, 3);
+            bench.iter(|| gemm_nn(-1.0, &a, &b, &mut cc));
+        });
+        group.throughput(Throughput::Elements(n * n * (n + 1)));
         group.bench_with_input(BenchmarkId::new("syrk_ln", nb), &nb, |bench, _| {
             let mut cc = spd.clone();
             bench.iter(|| syrk_ln(&a, &mut cc));
         });
+        group.throughput(Throughput::Elements(n * n * n));
         group.bench_with_input(BenchmarkId::new("trsm_rlt", nb), &nb, |bench, _| {
             bench.iter_batched(
                 || rand_tile(nb, 4),
@@ -41,6 +55,7 @@ fn bench_kernels(c: &mut Criterion) {
                 criterion::BatchSize::SmallInput,
             );
         });
+        group.throughput(Throughput::Elements(potrf_flops(nb)));
         group.bench_with_input(BenchmarkId::new("potrf_l", nb), &nb, |bench, _| {
             bench.iter_batched(
                 || spd.clone(),
@@ -48,6 +63,7 @@ fn bench_kernels(c: &mut Criterion) {
                 criterion::BatchSize::SmallInput,
             );
         });
+        group.throughput(Throughput::Elements(gemm_flops(nb, nb, nb)));
         group.bench_with_input(BenchmarkId::new("minplus", nb), &nb, |bench, _| {
             let mut cc = rand_tile(nb, 5);
             bench.iter(|| minplus(&a, &b, &mut cc));

@@ -93,16 +93,20 @@ pub fn stuck_diagnostic(s: &StuckEntry) -> Diagnostic {
     d
 }
 
-/// Diagnostic `TTG040`–`TTG049` for one structured communication failure
-/// (see DESIGN §8 and §13): retry-budget exhaustion, deadline misses,
-/// snapshot/recovery failures, and RMA timeouts are hard errors (data was
-/// lost or the run gave up); a post-shutdown send on a closed channel is
-/// only a warning (expected during teardown races), and a `RankRecovered`
-/// event is informational — a kill that the runtime survived.
+/// Diagnostic `TTG040`–`TTG049` or `TTG056` for one structured
+/// communication failure (see DESIGN §8 and §13): retry-budget exhaustion,
+/// deadline misses, snapshot/recovery failures, and RMA timeouts are hard
+/// errors (data was lost or the run gave up); a post-shutdown send on a
+/// closed channel is only a warning (expected during teardown races), a
+/// `RankRecovered` event is informational — a kill that the runtime
+/// survived — and a `KillNeverFired` warning flags a kill script whose
+/// threshold the run never reached.
 pub fn comm_diagnostic(e: &CommError) -> Diagnostic {
     let mut d = match e.kind {
         CommErrorKind::ChannelClosed => Diagnostic::warning(e.code(), e.to_string()),
-        CommErrorKind::RankRecovered => Diagnostic::warning(e.code(), e.to_string()),
+        CommErrorKind::RankRecovered | CommErrorKind::KillNeverFired => {
+            Diagnostic::warning(e.code(), e.to_string())
+        }
         _ => Diagnostic::error(e.code(), e.to_string()),
     };
     if let Some(to) = e.to {
@@ -147,6 +151,11 @@ pub fn comm_diagnostic(e: &CommError) -> Diagnostic {
             "a cross-process one-sided fetch expired its timeout (default \
              30s, configurable via `ExecConfig::with_rma_timeout`); the \
              region owner is dead, overloaded, or the timeout is too tight",
+        ),
+        CommErrorKind::KillNeverFired => d.with_help(
+            "the run ended before the killed rank received `n` packets, so \
+             it never saw the fault; lower `n` in `kill=r@n` below the run's \
+             message count",
         ),
         _ => d,
     };
@@ -202,6 +211,7 @@ mod tests {
             (CommErrorKind::SnapshotFailed, "TTG047"),
             (CommErrorKind::RecoveryFailed, "TTG048"),
             (CommErrorKind::RmaTimeout, "TTG049"),
+            (CommErrorKind::KillNeverFired, "TTG056"),
         ];
         for (kind, code) in cases {
             let d = comm_diagnostic(&err(kind));
@@ -222,6 +232,10 @@ mod tests {
         assert_eq!(
             comm_diagnostic(&err(CommErrorKind::DeadlineMissed)).severity,
             Severity::Error
+        );
+        assert_eq!(
+            comm_diagnostic(&err(CommErrorKind::KillNeverFired)).severity,
+            Severity::Warning
         );
     }
 }

@@ -62,14 +62,12 @@ const RELEASED_CACHE: usize = 64;
 /// the wire defines but nobody terminates means sends silently vanish).
 ///
 /// `Hello` and `Bye` terminate inside the transport (handshake and reader
-/// teardown); `Ack` terminates in the reliable layer's accept path;
-/// `AckRange` — the batched form — terminates in the mesh receive
-/// dispatch (`mesh_rx`), which clears the acked retransmit entries; the
-/// rest terminate in the fabric's receive dispatch (`remote_rx`).
+/// teardown); `AckRange` terminates in the mesh receive dispatch
+/// (`mesh_rx`), which clears the acked retransmit entries; the rest
+/// terminate in the fabric's receive dispatch (`remote_rx`).
 pub const CONSUMED_FRAME_KINDS: &[&str] = &[
     "Hello",
     "Am",
-    "Ack",
     "AckRange",
     "RmaReq",
     "RmaResp",
@@ -229,6 +227,10 @@ pub enum CommErrorKind {
     RecoveryFailed,
     /// A cross-process RMA fetch expired its configured timeout.
     RmaTimeout,
+    /// An armed kill script never fired: the rank received fewer packets
+    /// than its threshold, so the fault run ran fault-free (a warning,
+    /// recorded with the recovery events).
+    KillNeverFired,
 }
 
 impl CommErrorKind {
@@ -245,6 +247,7 @@ impl CommErrorKind {
             CommErrorKind::SnapshotFailed => "TTG047",
             CommErrorKind::RecoveryFailed => "TTG048",
             CommErrorKind::RmaTimeout => "TTG049",
+            CommErrorKind::KillNeverFired => "TTG056",
         }
     }
 }
@@ -1517,12 +1520,8 @@ impl Fabric {
                 rs.done.store(true, Ordering::SeqCst);
             }
             // Handshake and teardown frames are transport-internal; ack
-            // frames (single and ranged) only exist under the
-            // (in-process) reliable layer.
-            Frame::Hello { .. }
-            | Frame::Ack { .. }
-            | Frame::AckRange { .. }
-            | Frame::Bye { .. } => {}
+            // frames only exist under the (in-process) reliable layer.
+            Frame::Hello { .. } | Frame::AckRange { .. } | Frame::Bye { .. } => {}
         }
     }
 
@@ -2461,6 +2460,45 @@ impl Fabric {
         std::mem::take(&mut *self.recovery_log.lock())
     }
 
+    /// The armed kill scripts that have not fired (TTG056), with the
+    /// packet count their rank reached. Asked at termination, a non-empty
+    /// answer means the fault plan's threshold was above the run's
+    /// traffic and the run never saw the fault it was meant to test.
+    pub fn unfired_kills(&self) -> Vec<CommError> {
+        let unfired = |rank: Rank, after: u64, got: u64| CommError {
+            kind: CommErrorKind::KillNeverFired,
+            from: None,
+            to: Some(rank),
+            handler: None,
+            seq: None,
+            detail: format!(
+                "kill={rank}@{after} never fired: rank {rank} received only \
+                 {got} sequenced packets before termination"
+            ),
+        };
+        match (&self.wire, &self.chaos) {
+            // A remote rank past its threshold has aborted; one still
+            // running here has not reached it.
+            (LinkLayer::Remote(rs), _) => rs
+                .kill_after
+                .map(|after| unfired(rs.me, after, rs.rx_frames.load(Ordering::SeqCst)))
+                .into_iter()
+                .collect(),
+            (_, Some(cs)) => cs
+                .plan
+                .kills
+                .iter()
+                .zip(&cs.kill_fired)
+                .filter(|(_, fired)| !fired.load(Ordering::SeqCst))
+                .map(|(k, _)| {
+                    let got = cs.rx_packets[k.rank].load(Ordering::SeqCst);
+                    unfired(k.rank, k.after_packets, got)
+                })
+                .collect(),
+            _ => Vec::new(),
+        }
+    }
+
     /// Deliver a shutdown packet to every rank, stop the reliability
     /// progress thread, and close the link layer (flushing pending sends
     /// and notifying peers).
@@ -3000,6 +3038,29 @@ mod tests {
                 Some(fresh)
             }
             Packet::Shutdown => None,
+        }
+    }
+
+    #[test]
+    fn kill_script_above_the_traffic_is_reported_unfired() {
+        // Rank 1 receives 5 packets: a kill at 3 fires, one at 100 never
+        // does and must be named at termination.
+        for (after, unfired) in [(3, 0), (100, 1)] {
+            let fabric = Fabric::with_faults(2, Some(FaultPlan::seeded(1).with_kill(1, after)));
+            let rx1 = fabric.take_receiver(1);
+            for _ in 0..5 {
+                fabric.send_am(0, 1, 7, vec![1]).unwrap();
+            }
+            while pump(&fabric, &rx1, 1).is_some() {}
+            let warnings = fabric.unfired_kills();
+            assert_eq!(warnings.len(), unfired, "kill=1@{after}");
+            if let Some(w) = warnings.first() {
+                assert_eq!(w.kind, CommErrorKind::KillNeverFired);
+                assert_eq!(w.kind.code(), "TTG056");
+                assert_eq!(w.to, Some(1));
+                assert!(w.detail.contains("received only 5"), "{}", w.detail);
+            }
+            fabric.shutdown_all();
         }
     }
 

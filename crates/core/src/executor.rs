@@ -189,9 +189,10 @@ pub struct ExecReport {
     /// budgets exhausted on dead links, post-shutdown sends, delivery
     /// errors, deadline misses. Empty on a healthy run.
     pub comm_errors: Vec<CommError>,
-    /// Informational recovery events (TTG046 `RankRecovered`): one per
-    /// successful checkpoint restore. Kept out of `comm_errors` so a
-    /// recovered run still reads as healthy.
+    /// Informational recovery events: one TTG046 `RankRecovered` per
+    /// successful checkpoint restore, and one TTG056 `KillNeverFired`
+    /// warning per armed kill script that never fired. Kept out of
+    /// `comm_errors` so a recovered run still reads as healthy.
     pub recovery_events: Vec<CommError>,
 }
 
@@ -531,7 +532,11 @@ impl Executor {
             violations: self.ctx.sanitizer.take(),
             stuck,
             comm_errors: self.ctx.fabric.take_errors(),
-            recovery_events: self.ctx.fabric.take_recovery_events(),
+            recovery_events: {
+                let mut events = self.ctx.fabric.take_recovery_events();
+                events.extend(self.ctx.fabric.unfired_kills());
+                events
+            },
         }
     }
 }

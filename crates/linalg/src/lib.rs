@@ -7,6 +7,7 @@
 //! residuals, and the 2-D block-cyclic distribution.
 
 #![warn(missing_docs)]
+#![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
 
 pub mod kernels;
 pub mod matrix;

@@ -146,17 +146,25 @@ mod tests {
         // Send before rank 1 starts: buffered.
         let l = eps[0].link(1);
         for seq in 0..3 {
-            l.send(Frame::Ack { from: 0, seq }).unwrap();
+            l.send(Frame::AckRange {
+                from: 0,
+                ranges: vec![(seq, seq)],
+            })
+            .unwrap();
         }
         let got: Arc<PMutex<Vec<u64>>> = Arc::new(PMutex::new(Vec::new()));
         let g = Arc::clone(&got);
         eps[1].start(Arc::new(move |src, f| {
             assert_eq!(src, 0);
-            if let Ok(Frame::Ack { seq, .. }) = f {
-                g.lock().push(seq);
+            if let Ok(Frame::AckRange { ranges, .. }) = f {
+                g.lock().push(ranges[0].0);
             }
         }));
-        l.send(Frame::Ack { from: 0, seq: 3 }).unwrap();
+        l.send(Frame::AckRange {
+            from: 0,
+            ranges: vec![(3, 3)],
+        })
+        .unwrap();
         assert_eq!(*got.lock(), vec![0, 1, 2, 3]);
     }
 

@@ -85,6 +85,10 @@ fn main() {
             for e in &report.comm_errors {
                 eprintln!("  comm error: {e}");
             }
+            // Recoveries (TTG046) and kill scripts that never fired (TTG056).
+            for e in &report.recovery_events {
+                eprint!("{}", ttg::check::comm_diagnostic(e).render());
+            }
             // CI gate: with losses configured the injection must not be
             // inert, and no message may have been permanently lost.
             if plan.drop > 0.0 {

@@ -2,7 +2,7 @@
 //! every other and against serial references, across ranks and backends.
 
 use ttg::apps::{bspmm, cholesky, floyd_warshall as fw, mra};
-use ttg::comm::TransportSpec;
+use ttg::comm::{CommErrorKind, FaultPlan, TransportSpec};
 use ttg::linalg::TiledMatrix;
 use ttg::simnet::{simulate, MachineModel};
 use ttg::sparse::{generate, YukawaParams};
@@ -212,4 +212,44 @@ fn splitmd_only_on_parsec_backend() {
     assert_eq!(madness.rma_bytes, 0, "madness sends whole objects inline");
     assert!(madness.am_bytes > parsec.am_bytes);
     assert!(madness.data_copies > parsec.data_copies);
+}
+
+#[test]
+fn kill_script_that_never_fires_warns_at_termination() {
+    // 4×4 tiles on 3 ranks carry a few dozen inter-rank messages, far
+    // below the kill threshold: the run completes fault-free and must say
+    // so with a TTG056 warning instead of passing silently.
+    let a = TiledMatrix::random_spd(4, 8, 7);
+    let cfg = cholesky::ttg::Config {
+        ranks: 3,
+        workers: 2,
+        backend: ttg::parsec::backend(),
+        trace: false,
+        priorities: true,
+        faults: Some(
+            FaultPlan::seeded(1)
+                .with_kill(1, 1_000_000)
+                .with_recovery(64),
+        ),
+        transport: TransportSpec::InProc,
+    };
+    let (l, r) = cholesky::ttg::run(&a, &cfg);
+    assert!(cholesky::residual(&a, &l) < 1e-8);
+    assert!(r.comm_errors.is_empty(), "{:?}", r.comm_errors);
+    let unfired: Vec<_> = r
+        .recovery_events
+        .iter()
+        .filter(|e| e.kind == CommErrorKind::KillNeverFired)
+        .collect();
+    assert_eq!(unfired.len(), 1, "{:?}", r.recovery_events);
+    let d = ttg::check::comm_diagnostic(unfired[0]);
+    assert_eq!(
+        (d.code, d.severity),
+        ("TTG056", ttg::check::Severity::Warning)
+    );
+    assert!(
+        d.render().contains("kill=1@1000000 never fired"),
+        "{}",
+        d.render()
+    );
 }
